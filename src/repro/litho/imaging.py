@@ -6,15 +6,24 @@ Two engines compute the same Hopkins integral:
   for the discretized source; used as the reference in tests.
 * **SOCS** (sum of coherent systems): the transmission cross coefficients
   are assembled on the band-limited frequency support, eigendecomposed
-  once per (grid, defocus) and cached; each aerial image then costs one
-  FFT per retained kernel.  This is the production path, exactly as in
-  the OPC tools of the paper's era.
+  once per (grid, defocus) and cached.  This is the production path,
+  exactly as in the OPC tools of the paper's era.
+
+The kernels live on the disk |f| <= (1 + sigma) NA / lambda, so each
+coherent field holds only the frequencies -r..r (in grid steps) and the
+intensity only -2r..2r.  The kernel sum therefore runs on a small grid of
+m >= 4r + 2 samples per axis (about 40 nm pitch, against the 8 nm
+pixel): one full-grid FFT of the mask, one small inverse FFT per kernel,
+then one small forward FFT and one real inverse FFT that
+Fourier-interpolate the intensity back to the pixel grid.  The result is
+the full-grid sum to rounding; an axis whose small grid would not be
+smaller than the pixel grid is summed on the pixel grid, as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,19 +52,20 @@ class AerialImage:
         return self.intensity.shape[0]
 
     def value_at(self, x: Nanometers, y: Nanometers) -> Dimensionless:
-        """Bilinear interpolation at an arbitrary point (pixel centers)."""
-        gx = (x - self.x0) / self.pixel - 0.5
-        gy = (y - self.y0) / self.pixel - 0.5
+        """Bilinear interpolation at an arbitrary point (pixel centers).
+
+        Points beyond the outer pixel centers take the edge value, as in
+        :meth:`values_at`: the grid coordinate is clamped before the
+        blend weights are taken from it.
+        """
+        gx = min(max((x - self.x0) / self.pixel - 0.5, 0.0), self.nx - 1.0)
+        gy = min(max((y - self.y0) / self.pixel - 0.5, 0.0), self.ny - 1.0)
         i0 = int(np.floor(gx))
         j0 = int(np.floor(gy))
         tx = gx - i0
         ty = gy - j0
-        i0 = min(max(i0, 0), self.nx - 1)
-        j0 = min(max(j0, 0), self.ny - 1)
         i1 = min(i0 + 1, self.nx - 1)
         j1 = min(j0 + 1, self.ny - 1)
-        tx = min(max(tx, 0.0), 1.0)
-        ty = min(max(ty, 0.0), 1.0)
         inten = self.intensity
         top = inten[j1, i0] * (1 - tx) + inten[j1, i1] * tx
         bottom = inten[j0, i0] * (1 - tx) + inten[j0, i1] * tx
@@ -106,7 +116,7 @@ class OpticalModel:
         self.max_kernels = max_kernels
         self.energy_cutoff = energy_cutoff
         self.source: List[SourcePoint] = make_source(settings)
-        self._kernel_cache: Dict[tuple, tuple] = {}
+        self._kernel_cache: Dict[tuple, _SocsKernels] = {}
 
     def __getstate__(self):
         """Pickle without the SOCS kernel cache.
@@ -141,8 +151,7 @@ class OpticalModel:
 
     def kernel_count(self, nx: int, ny: int, pixel: float, defocus_nm: float = 0.0) -> int:
         """Number of SOCS kernels retained for a grid (diagnostics)."""
-        eigvals, _, _ = self._kernels(nx, ny, pixel, defocus_nm)
-        return len(eigvals)
+        return len(self._kernels(nx, ny, pixel, defocus_nm).eigvals)
 
     # -- Abbe path -------------------------------------------------------------
 
@@ -184,23 +193,24 @@ class OpticalModel:
 
     def _socs(self, transmission: np.ndarray, pixel: float, defocus_nm: float) -> np.ndarray:
         ny, nx = transmission.shape
-        eigvals, support, vectors = self._kernels(nx, ny, pixel, defocus_nm)
-        spectrum = np.fft.fft2(transmission)
-        masked_spectrum = spectrum[support]
-        intensity = np.zeros((ny, nx))
-        kernel_grid = np.zeros((ny, nx), dtype=complex)
-        for value, vec in zip(eigvals, vectors):
-            kernel_grid[:] = 0.0
-            kernel_grid[support] = masked_spectrum * vec
-            field = np.fft.ifft2(kernel_grid)
-            intensity += value * np.abs(field) ** 2
-        return intensity
+        kernels = self._kernels(nx, ny, pixel, defocus_nm)
+        masked_spectrum = np.fft.fft2(transmission)[kernels.support]
+        # Every kernel writes the same support samples, so the grid needs
+        # zeroing only once.
+        field_spectrum = np.zeros(kernels.grid, dtype=complex)
+        small = np.zeros(kernels.grid)
+        for value, vec in zip(kernels.eigvals, kernels.vectors):
+            field_spectrum[kernels.grid_support] = masked_spectrum * vec
+            field = np.fft.ifft2(field_spectrum)
+            small += value * (field.real ** 2 + field.imag ** 2)
+        return _fourier_interpolate(small, (ny, nx), kernels.band)
 
-    def _kernels(self, nx: int, ny: int, pixel: float, defocus_nm: float):
+    def _kernels(self, nx: int, ny: int, pixel: float, defocus_nm: float) -> _SocsKernels:
         """Cached TCC eigen-kernels for a grid geometry.
 
-        Returns (eigvals, support_index_tuple, list_of_eigvecs); the clear
-        field of the truncated kernel set is renormalized to exactly 1.
+        The clear field of the truncated kernel set is renormalized to
+        exactly 1.  The entry also holds where the support lands on the
+        small grid the kernel sum runs on (see :class:`_SocsKernels`).
         """
         key = (nx, ny, round(pixel, 9), round(defocus_nm, 6),
                tuple(sorted(self.zernike.items())))
@@ -251,6 +261,85 @@ class OpticalModel:
             raise RuntimeError("SOCS truncation lost the DC response")
         kept_vals = kept_vals / clear
 
-        result = (kept_vals, support, kept_vecs)
+        my, rows, band_y = _small_axis(support[0], ny)
+        mx, cols, band_x = _small_axis(support[1], nx)
+        result = _SocsKernels(kept_vals, support, kept_vecs,
+                              (my, mx), (rows, cols), (band_y, band_x))
         self._kernel_cache[key] = result
         return result
+
+
+class _SocsKernels(NamedTuple):
+    """One cached SOCS kernel set and the small grid its sum runs on."""
+
+    eigvals: np.ndarray
+    #: full-grid (row, column) indices of the kernel support
+    support: Tuple[np.ndarray, ...]
+    vectors: List[np.ndarray]
+    #: small-grid shape (m_y, m_x)
+    grid: Tuple[int, int]
+    #: the support's (row, column) indices on the small grid
+    grid_support: Tuple[np.ndarray, ...]
+    #: per axis, the intensity band 2r, or None where the small grid is
+    #: the full grid
+    band: Tuple[Optional[int], Optional[int]]
+
+
+def _smooth_size(n: int) -> int:
+    """The smallest 2*3*5-smooth integer >= ``n`` (a fast FFT length).
+
+    ``scipy.fft.next_fast_len(n, real=True)`` gives the same, but the flow
+    does not otherwise import ``scipy.fft`` (~30 ms of set-up).
+    """
+    while True:
+        rest = n
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _small_axis(index: np.ndarray, n: int) -> Tuple[int, np.ndarray, Optional[int]]:
+    """Small-grid size, support indices and band for one axis.
+
+    ``index`` holds full-grid FFT indices whose signed frequencies reach
+    at most r; the intensity then spans -2r..2r, which m >= 4r + 2
+    samples hold without aliasing and with an empty Nyquist bin.  Where
+    that m is not smaller than ``n`` the axis keeps the full grid, whose
+    (possibly aliased) sum is the pixel-grid result by definition.
+    """
+    signed = (index + n // 2) % n - n // 2
+    reach = int(np.abs(signed).max())
+    m = _smooth_size(4 * reach + 2)
+    if m >= n:
+        return n, index, None
+    return m, signed % m, 2 * reach
+
+
+def _fourier_interpolate(small: np.ndarray, shape: Tuple[int, int],
+                         band: Tuple[Optional[int], Optional[int]]) -> np.ndarray:
+    """Resample the band-limited real ``small`` grid onto ``shape``.
+
+    The band -b..b of each reduced axis moves into a zero-padded half
+    spectrum of the full grid; an axis with band None is already full.
+    The factor m_x m_y / (n_x n_y) undoes the small grid's ifft2
+    normalization in the squared fields and the change of FFT length.
+    """
+    ny, nx = shape
+    my, mx = small.shape
+    if (my, mx) == (ny, nx):
+        return small
+    band_y, band_x = band
+    if band_y is None:
+        src_rows = dst_rows = np.arange(ny)
+    else:
+        src_rows = np.r_[0:band_y + 1, my - band_y:my]
+        dst_rows = np.r_[0:band_y + 1, ny - band_y:ny]
+    cols = np.arange(nx // 2 + 1 if band_x is None else band_x + 1)
+    half = np.zeros((ny, nx // 2 + 1), dtype=complex)
+    half[np.ix_(dst_rows, cols)] = (
+        np.fft.rfft2(small)[np.ix_(src_rows, cols)] * (mx * my / (nx * ny))
+    )
+    return np.fft.irfft2(half, s=(ny, nx))
